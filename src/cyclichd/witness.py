@@ -11,7 +11,8 @@ degree sequence is exactly w.
 
 verify_witness rechecks all of that from scratch (window sums by prefix
 counts, and for materializable N also edge distinctness and per-vertex
-degrees); it shares no code path with solve_start's search.
+degrees, from each column read as runs); it shares no code with
+solve_start's closed form or with materialize_edges.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .ranges import _bounds
 from .recognizer import Assignment, DegreeSequence
 
 DEFAULT_EDGE_CAP = 1 << 20
-_PACK_LIMIT = 62  # int64 materialization; larger orders fall back to big ints
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,11 @@ def solve_start(i: int, N: int, v: int, n: int) -> int:
     """Smallest start s in [0, 2^(i-1)] whose length-N window of column i
     sums to v; v must lie in the column's attainable interval.
 
-    Write N = q*2^i + r.  For r = 0 every window sums to q*2^(i-1), so
-    s = 0.  Otherwise the window sum is nondecreasing in s on [0, 2^(i-1)]
-    and moves by at most 1 per step, sweeping the whole interval, so the
-    smallest s with sum >= v has sum exactly v; binary search finds it in
-    O(i) big-integer operations.
+    Write N = q*2^i + r and h = 2^(i-1).  Full periods give every window
+    q*h ones; for s in [0, h] the leftover r entries from s hold
+    max(0, min(s + r - h, h)) ones, which starts at max(0, r - h) and grows
+    by one per step.  So with d = v - q*h the answer is 0 when d equals that
+    starting count (always for r = 0) and d + h - r otherwise.
     """
     col = BitColumn(i, n)
     lo_v, hi_v = _bounds(i, N)
@@ -62,16 +62,9 @@ def solve_start(i: int, N: int, v: int, n: int) -> int:
     if not lo_v <= v <= hi_v:
         raise DomainError(f"target {v} outside attainable interval [{lo_v}, {hi_v}]")
     half = 1 << (i - 1)
-    if N & ((half << 1) - 1) == 0:
-        return 0
-    lo_s, hi_s = 0, half
-    while lo_s < hi_s:
-        mid = (lo_s + hi_s) >> 1
-        if col.contiguous_sum(mid, N) >= v:
-            hi_s = mid
-        else:
-            lo_s = mid + 1
-    return lo_s
+    q, r = divmod(N, half << 1)
+    d = v - q * half
+    return 0 if d == max(0, r - half) else d + half - r
 
 
 def build_witness(w: DegreeSequence, assignment: Assignment) -> Witness:
@@ -90,36 +83,38 @@ def materialize_edges(wit: Witness, cap: int = DEFAULT_EDGE_CAP) -> list[int]:
     the edge).  Edge k takes column i's bit at position (k + starts[i-1])
     mod 2^n and places it at vertex perm[i-1] + 1.
 
-    Raises CapacityError for N > cap; the witness itself stays valid, only
-    the explicit edge list is refused.
+    Raises DomainError for a malformed witness and CapacityError for
+    N > cap; the witness itself stays valid then, only the edge list is
+    refused.
     """
     n, N = wit.n, wit.N
     if n < 1 or len(wit.perm) != n or len(wit.starts) != n:
         raise DomainError("witness fields are inconsistent")
     if not 1 <= N <= (1 << n):
         raise DomainError(f"window length {N} outside [1, {1 << n}]")
+    if sorted(wit.perm) != list(range(n)) or any(
+            not 0 <= s < (1 << n) for s in wit.starts):
+        raise DomainError("perm is not a bijection or a start is out of range")
     if N > cap:
         raise CapacityError(f"{N} edges exceed the materialization cap {cap}")
-    if n <= _PACK_LIMIT:
-        return [int(e) for e in _edges_packed(wit)]
-    mask = (1 << n) - 1
-    out = [0] * N
+    # Vertex v fills bit v % 64 of word array v // 64.  Column b's bit at
+    # row k is bit b of k + t, t = s mod 2^(b+1).  Rows stay below 2^L, so
+    # for b > L it is read at bit c = L instead: t's top bit moves to bit L
+    # and its low part keeps its distance past 2^b - 2^L, clipped at 0, so
+    # every sum fits in 64 bits.
+    L = N.bit_length()
+    k = np.arange(N, dtype=np.uint64)
+    words = np.zeros(((n + 63) // 64, N), dtype=np.uint64)
     for b, s in enumerate(wit.starts):
-        vbit = 1 << wit.perm[b]
-        for k in range(N):
-            if ((k + s) & mask) >> b & 1:
-                out[k] |= vbit
-    return out
-
-
-def _edges_packed(wit: Witness) -> np.ndarray:
-    # int64 edge masks; requires n <= _PACK_LIMIT so k + s < 2^63
-    mask = (1 << wit.n) - 1
-    k = np.arange(wit.N, dtype=np.int64)
-    edges = np.zeros(wit.N, dtype=np.int64)
-    for b, s in enumerate(wit.starts):
-        bits = (((k + s) & mask) >> b) & 1
-        edges |= bits << np.int64(wit.perm[b])
+        c = min(b, L)
+        t = s % (2 << b)
+        phase = (t >> b << c) + max(0, (t % (1 << b)) - (1 << b) + (1 << c))
+        bits = (k + np.uint64(phase)) >> np.uint64(c) & np.uint64(1)
+        v = wit.perm[b]
+        words[v >> 6] |= bits << np.uint64(v & 63)
+    edges = words[0].tolist()
+    for j in range(1, len(words)):
+        edges = [e | x << (64 * j) for e, x in zip(edges, words[j].tolist())]
     return edges
 
 
@@ -140,41 +135,44 @@ def verify_witness(
 ) -> bool:
     """Recheck a certificate from scratch; False on any defect, never raises.
 
-    Checks: consistent shape, N in [1, 2^n], perm a bijection, starts in
-    range, and every column's window sum equal to its assigned degree.
-    When N <= cap the edges are also materialized and required to be
-    pairwise distinct with per-vertex counts exactly w.
+    Checks: consistent shape, integer fields, N in [1, 2^n], perm a
+    bijection, starts in range, and every column's window sum equal to its
+    assigned degree.  When N <= cap the N rows are also rebuilt and
+    required to be pairwise distinct with per-vertex counts exactly w.
     """
     n = w.n
     if wit.n != n:
         return False
-    if not isinstance(wit.N, int) or not 1 <= wit.N <= (1 << n):
+    try:
+        N, perm, starts = wit.N, tuple(wit.perm), tuple(wit.starts)
+    except TypeError:
         return False
-    if len(wit.perm) != n or sorted(wit.perm) != list(range(n)):
+    if not all(isinstance(x, int) and not isinstance(x, bool)
+               for x in (N, *perm, *starts)):
         return False
-    if len(wit.starts) != n:
+    if len(perm) != n or len(starts) != n or sorted(perm) != list(range(n)):
         return False
-    top = 1 << n
-    if any(not 0 <= s < top for s in wit.starts):
+    if not 1 <= N <= (1 << n) or any(not 0 <= s < (1 << n) for s in starts):
         return False
-    for b in range(n):
-        col = BitColumn(b + 1, n)
-        if col.contiguous_sum(wit.starts[b], wit.N) != w.entries[wit.perm[b]]:
-            return False
-    if wit.N > cap:
+    if any(BitColumn(b + 1, n).contiguous_sum(starts[b], N) != w.entries[perm[b]]
+           for b in range(n)):
+        return False
+    if N > cap:
         return True
-    if n <= _PACK_LIMIT:
-        edges = _edges_packed(wit)
-        if np.unique(edges).size != wit.N:
+    # Recount apart from materialize_edges: read each column's N rows as
+    # alternating runs of 2^b zeros and ones, one bit per vertex in bytes.
+    planes = np.zeros(((n + 7) // 8, N), dtype=np.uint8)
+    for b in range(n):
+        run = 1 << b
+        t = starts[b] % (run << 1)
+        head = min(run - t % run, N)
+        count = 1 - (head - N) // run
+        lengths = np.full(count, min(run, N))
+        lengths[0] = head
+        values = ((np.arange(count) + (t >= run)) & 1).astype(np.uint8)
+        column = np.repeat(values, lengths)[:N]
+        if np.count_nonzero(column) != w.entries[perm[b]]:
             return False
-        for v in range(n):
-            if int(((edges >> np.int64(v)) & 1).sum()) != w.entries[v]:
-                return False
-    else:
-        listed = materialize_edges(wit, cap)
-        if len(set(listed)) != wit.N:
-            return False
-        for v in range(n):
-            if sum((e >> v) & 1 for e in listed) != w.entries[v]:
-                return False
-    return True
+        planes[perm[b] >> 3] |= column << np.uint8(perm[b] & 7)
+    rows = np.ascontiguousarray(planes.T).view(np.dtype((np.void, len(planes))))
+    return np.unique(rows).size == N

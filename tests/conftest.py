@@ -25,14 +25,16 @@ def cyclic_window_sum(bits: list[int], start: int, length: int) -> int:
     return sum(bits[(start + t) % m] for t in range(length))
 
 
-def planted_sequence(rng: random.Random, n: int) -> DegreeSequence:
+def planted_sequence(
+    rng: random.Random, n: int, max_N: int | None = None
+) -> DegreeSequence:
     """Random degree sequence with a hidden accepting assignment.
 
-    Draws a window length, a bijection and one attainable value per column,
-    so the result is a cyclic hyper degree by construction and the
-    recognizer must accept it.
+    Draws a window length (at most max_N when given), a bijection and one
+    attainable value per column, so the result is a cyclic hyper degree by
+    construction and the recognizer must accept it.
     """
-    N = rng.randint(1, 1 << n)
+    N = rng.randint(1, 1 << n if max_N is None else min(1 << n, max_N))
     perm = list(range(n))
     rng.shuffle(perm)
     w = [0] * n

@@ -61,7 +61,7 @@ def test_solve_start_validity_mid_orders():
 
 
 def test_window_sum_nondecreasing_on_first_half_period():
-    # the binary search in solve_start relies on this premise
+    # the step-by-one growth that solve_start's closed form is derived from
     for n in range(1, 11):
         for i in range(1, n + 1):
             half = 1 << (i - 1)
@@ -135,14 +135,21 @@ def test_verify_rejects_malformed_fields():
     assert not verify_witness(w, Witness(n=3, N=wit.N, perm=(0, 0, 2), starts=wit.starts))
     assert not verify_witness(w, Witness(n=3, N=wit.N, perm=wit.perm, starts=(0, 0, 8)))
     assert not verify_witness(w, Witness(n=3, N=wit.N, perm=wit.perm, starts=(0, 0)))
+    # wrongly typed fields are rejected, not raised on
+    assert not verify_witness(w, Witness(n=3, N=wit.N, perm=(0, None, 2), starts=wit.starts))
+    assert not verify_witness(w, Witness(n=3, N=wit.N, perm=(0, 1, 2.0), starts=wit.starts))
+    assert not verify_witness(w, Witness(n=3, N=wit.N, perm=wit.perm, starts=(1, 2, "4")))
+    assert not verify_witness(w, Witness(n=3, N=True, perm=wit.perm, starts=wit.starts))
+    assert not verify_witness(w, Witness(n=3, N=wit.N, perm=(0, True, 2), starts=wit.starts))
 
 
 def test_edges_match_shifted_rows():
-    # edge k is row k of the shifted table, relabelled through perm
+    # edge k is row k of the shifted table, relabelled through perm; the
+    # orders 63-65 and 128 put vertices on both sides of 64-bit word limits
     rng = random.Random(3)
-    for _ in range(50):
-        n = rng.randint(1, 10)
-        w = planted_sequence(rng, n)
+    orders = [rng.randint(1, 10) for _ in range(50)] + [63, 64, 65, 128] * 3
+    for n in orders:
+        w = planted_sequence(rng, n, max_N=4096)
         wit = build_witness(w, recognize(w))
         sv = ShiftVector(n, wit.starts)
         edges = materialize_edges(wit)
@@ -156,9 +163,9 @@ def test_edges_match_shifted_rows():
 
 def test_edge_distinctness_and_degree_counts_explicitly():
     rng = random.Random(8)
-    for _ in range(60):
-        n = rng.randint(1, 10)
-        w = planted_sequence(rng, n)
+    orders = [rng.randint(1, 10) for _ in range(60)] + [63, 64, 65, 128] * 2
+    for n in orders:
+        w = planted_sequence(rng, n, max_N=4096)
         wit = build_witness(w, recognize(w))
         edges = materialize_edges(wit)
         assert len(edges) == wit.N
@@ -181,11 +188,17 @@ def test_materialize_edges_validation():
         materialize_edges(Witness(n=3, N=9, perm=(0, 1, 2), starts=(0, 0, 0)))
     with pytest.raises(DomainError):
         materialize_edges(Witness(n=3, N=1, perm=(0, 1), starts=(0, 0, 0)))
+    with pytest.raises(DomainError):
+        materialize_edges(Witness(n=3, N=1, perm=(0, 1, 5), starts=(0, 0, 0)))
+    with pytest.raises(DomainError):
+        materialize_edges(Witness(n=3, N=1, perm=(0, 0, 0), starts=(0, 0, 0)))
+    with pytest.raises(DomainError):
+        materialize_edges(Witness(n=3, N=1, perm=(0, 1, 2), starts=(0, 0, 99)))
 
 
 def test_big_order_uses_big_integer_fallback():
-    # above the int64 packing limit both materialization and verification
-    # must switch to arbitrary-precision arithmetic
+    # edges above 64 vertices span several machine words, and the edge
+    # masks must come out as exact Python integers
     n = 70
     w = DegreeSequence((1,) * n)
     wit = build_witness(w, recognize(w))
@@ -193,6 +206,22 @@ def test_big_order_uses_big_integer_fallback():
     edges = materialize_edges(wit)
     assert edges == [(1 << n) - 1]
     assert verify_witness(w, wit)
+
+
+def test_solve_start_sampled_across_word_size():
+    # closed-form starts at order 200, for columns below and above bit 64
+    rng = random.Random(17)
+    n = 200
+    for i in [1, 2, 31, 63, 64, 65, 66, 100, 199, 200] * 10:
+        col = BitColumn(i, n)
+        half = 1 << (i - 1)
+        N = rng.choice([rng.randint(1, 1 << n), rng.randint(1, 1 << 20),
+                        rng.randint(1, 1 << i)])
+        r = range_of(i, N, n)
+        v = rng.randint(r.lo, r.hi)
+        s = solve_start(i, N, v, n)
+        assert 0 <= s <= half
+        assert col.contiguous_sum(s, N) == v
 
 
 def test_verify_sums_checked_even_above_edge_cap():
