@@ -15,11 +15,12 @@ materializes rows, which is capped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, TypeVar
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence, TypeVar
 
 from .errors import CapacityError, DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 T = TypeVar("T")
 
@@ -141,6 +142,8 @@ def packed_rows(shift: ShiftVector, max_order: int = MATERIALIZE_CAP) -> np.ndar
     column b+1's shifted entry, already in place, so each column costs one
     vectorized add-and-mask.
     """
+    import numpy as np
+
     n = shift.n
     if n > max_order:
         raise CapacityError(f"order {n} exceeds materialization cap {max_order}")
@@ -160,6 +163,8 @@ def all_rows_distinct(shift: ShiftVector, max_order: int = MATERIALIZE_CAP) -> b
     Row codes live in [0, 2^n), so distinctness of 2^n of them is exactly
     surjectivity onto that range.
     """
+    import numpy as np
+
     packed = packed_rows(shift, max_order)
     seen = np.zeros(packed.size, dtype=bool)
     seen[packed] = True

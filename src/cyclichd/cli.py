@@ -34,11 +34,21 @@ def _parse_degrees(text: str) -> DegreeSequence:
     for tok in tokens:
         if not tok:
             raise ValidationError("empty degree token")
+        # int() would also take '1_0', '+1' and non-ASCII digits
+        if not (tok.isascii() and tok.isdigit()):
+            raise ValidationError(f"invalid degree token {tok!r}")
         try:
             entries.append(int(tok))
         except ValueError:
             raise ValidationError(f"invalid degree token {tok!r}") from None
     return DegreeSequence(tuple(entries))
+
+
+def _positive_order(text: str) -> int:
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"order must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def _decision_document(
@@ -191,17 +201,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate",
                        help="list all cyclic hyper degrees at small order")
-    p.add_argument("--n", type=int, required=True, help="number of vertices")
+    p.add_argument("--n", type=_positive_order, required=True,
+                   help="number of vertices")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("count", help="lower-bound report, optionally exact")
-    p.add_argument("--n", type=int, required=True, help="number of vertices")
+    p.add_argument("--n", type=_positive_order, required=True,
+                   help="number of vertices")
     p.add_argument("--exact", action="store_true",
                    help="also enumerate the exact count (small orders)")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("verify", help="self-check against brute-force oracles")
-    p.add_argument("--n", type=int, required=True, help="order to check")
+    p.add_argument("--n", type=_positive_order, required=True,
+                   help="order to check")
     p.add_argument("--samples", type=int, default=1000,
                    help="sample count for non-exhaustive orders (default 1000)")
     p.add_argument("--seed", type=int, default=0,

@@ -20,10 +20,6 @@ from functools import lru_cache
 from itertools import permutations, product
 from typing import Sequence
 
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
-
 from .errors import CapacityError
 from .ranges import attained_set
 from .recognizer import DegreeSequence, perfect_matching
@@ -60,6 +56,10 @@ def _sdr_backtrack(candidates: Sequence[Sequence[int]], n: int) -> bool:
 
 
 def _scipy_has_perfect(candidates: Sequence[Sequence[int]], n: int) -> bool:
+    import numpy as np
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     indptr = [0]
     indices: list[int] = []
     for b in range(n):

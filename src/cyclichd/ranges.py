@@ -16,10 +16,12 @@ recomputes the set by direct scan and exists to test them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import CapacityError, DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # attained_set materializes two copies of a 2^n column; test/oracle use only
 SCAN_CAP = 20
@@ -82,6 +84,8 @@ def range_size(i: int, N: int) -> int:
 
 def column_bits(i: int, n: int, max_order: int = SCAN_CAP) -> np.ndarray:
     """Column i of the order-n table, materialized (uint8, length 2^n)."""
+    import numpy as np
+
     if n < 1:
         raise DomainError(f"table order must be >= 1, got {n}")
     if not 1 <= i <= n:
@@ -97,6 +101,8 @@ def window_sums(i: int, N: int, n: int, max_order: int = SCAN_CAP) -> np.ndarray
     Prefix sums over the doubled column, so sums[s] is the window starting
     at 0-based s.  Independent of the closed form; 0 <= N <= 2^n.
     """
+    import numpy as np
+
     bits = column_bits(i, n, max_order)
     if not 0 <= N <= bits.size:
         raise DomainError(f"window length {N} outside [0, {bits.size}]")
@@ -112,6 +118,8 @@ def attained_set(i: int, N: int, n: int, max_order: int = SCAN_CAP) -> set[int]:
     This is the ground truth the closed-form interval is tested against;
     the recognizer never calls it.
     """
+    import numpy as np
+
     if not 1 <= N <= (1 << n):
         raise DomainError(f"window length {N} outside [1, {1 << n}]")
     return {int(v) for v in np.unique(window_sums(i, N, n, max_order))}

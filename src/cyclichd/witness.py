@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bittable import BitColumn
 from .errors import CapacityError, DomainError
 from .ranges import _bounds
@@ -88,15 +86,24 @@ def materialize_edges(wit: Witness, cap: int = DEFAULT_EDGE_CAP) -> list[int]:
     refused.
     """
     n, N = wit.n, wit.N
-    if n < 1 or len(wit.perm) != n or len(wit.starts) != n:
+    try:
+        perm, starts = tuple(wit.perm), tuple(wit.starts)
+    except TypeError:
+        raise DomainError("perm and starts must be sequences") from None
+    if not all(isinstance(x, int) and not isinstance(x, bool)
+               for x in (n, N, *perm, *starts)):
+        raise DomainError("witness fields must be integers")
+    if n < 1 or len(perm) != n or len(starts) != n:
         raise DomainError("witness fields are inconsistent")
     if not 1 <= N <= (1 << n):
         raise DomainError(f"window length {N} outside [1, {1 << n}]")
-    if sorted(wit.perm) != list(range(n)) or any(
-            not 0 <= s < (1 << n) for s in wit.starts):
+    if sorted(perm) != list(range(n)) or any(
+            not 0 <= s < (1 << n) for s in starts):
         raise DomainError("perm is not a bijection or a start is out of range")
     if N > cap:
         raise CapacityError(f"{N} edges exceed the materialization cap {cap}")
+    import numpy as np
+
     # Vertex v fills bit v % 64 of word array v // 64.  Column b's bit at
     # row k is bit b of k + t, t = s mod 2^(b+1).  Rows stay below 2^L, so
     # for b > L it is read at bit c = L instead: t's top bit moves to bit L
@@ -105,12 +112,12 @@ def materialize_edges(wit: Witness, cap: int = DEFAULT_EDGE_CAP) -> list[int]:
     L = N.bit_length()
     k = np.arange(N, dtype=np.uint64)
     words = np.zeros(((n + 63) // 64, N), dtype=np.uint64)
-    for b, s in enumerate(wit.starts):
+    for b, s in enumerate(starts):
         c = min(b, L)
         t = s % (2 << b)
         phase = (t >> b << c) + max(0, (t % (1 << b)) - (1 << b) + (1 << c))
         bits = (k + np.uint64(phase)) >> np.uint64(c) & np.uint64(1)
-        v = wit.perm[b]
+        v = perm[b]
         words[v >> 6] |= bits << np.uint64(v & 63)
     edges = words[0].tolist()
     for j in range(1, len(words)):
@@ -159,6 +166,8 @@ def verify_witness(
         return False
     if N > cap:
         return True
+    import numpy as np
+
     # Recount apart from materialize_edges: read each column's N rows as
     # alternating runs of 2^b zeros and ones, one bit per vertex in bytes.
     planes = np.zeros(((n + 7) // 8, N), dtype=np.uint8)

@@ -1,9 +1,17 @@
 """CLI subcommands: exit codes, document structure, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from cyclichd import DegreeSequence, Witness, verify_witness
 from cyclichd.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv, capsys):
@@ -25,9 +33,16 @@ def test_recognize_no(capsys):
 
 
 def test_recognize_rejects_bad_token(capsys):
-    code, _, err = run(["recognize", "--degrees", "1,x,3"], capsys)
-    assert code == 2
-    assert "invalid degree token" in err
+    for token in ["x", "1_0", "+1", "\u0661", "-1"]:
+        code, _, err = run(["recognize", "--degrees", f"1,{token},3"], capsys)
+        assert code == 2
+        assert "invalid degree token" in err
+
+
+def test_degree_tokens_may_carry_surrounding_whitespace(capsys):
+    code, out, _ = run(["recognize", "--degrees", " 2 ,2,\t1 "], capsys)
+    assert code == 0
+    assert "degrees: 2,2,1" in out
 
 
 def test_recognize_rejects_empty(capsys):
@@ -143,6 +158,15 @@ def test_enumerate_command(capsys):
     ]
 
 
+def test_order_must_be_positive(capsys):
+    # verify --n 0 used to die on a negative shift, enumerate --n 0 to exit 3
+    for command in ["enumerate", "count", "verify"]:
+        for order in ["0", "-1"]:
+            code, _, err = run([command, "--n", order], capsys)
+            assert code == 2
+            assert "order must be a positive integer" in err
+
+
 def test_enumerate_capacity(capsys):
     code, _, err = run(["enumerate", "--n", "5"], capsys)
     assert code == 3
@@ -200,3 +224,31 @@ def test_missing_required_flag_is_usage_error(capsys):
     code = main(["recognize"])
     capsys.readouterr()
     assert code == 2
+
+
+def imported_packages(*args):
+    """Top-level packages among the modules a fresh interpreter imports
+    while running `python *args` with PYTHONPATH=src."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    r = subprocess.run([sys.executable, "-X", "importtime", *args],
+                       capture_output=True, text=True, env=env, timeout=120)
+    assert r.returncode in (0, 1), r.stderr
+    return {
+        line.split("|")[-1].strip().split(".")[0]
+        for line in r.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+@pytest.mark.parametrize("args, numpy_loaded", [
+    (["-c", "import cyclichd, cyclichd.cli"], False),
+    (["-m", "cyclichd.cli", "recognize", "--degrees", "4,1,1,1"], False),
+    (["-m", "cyclichd.cli", "witness", "--edges", "--degrees", "2,2,1"], True),
+], ids=["import", "recognize-no", "witness-edges"])
+def test_import_chain_loads_numpy_only_for_arrays(args, numpy_loaded):
+    # the decision path is standard library only; scipy is reserved for the
+    # oracle's matching cross-check
+    loaded = imported_packages(*args)
+    assert "cyclichd" in loaded
+    assert ("numpy" in loaded) == numpy_loaded
+    assert "scipy" not in loaded

@@ -194,6 +194,17 @@ def test_materialize_edges_validation():
         materialize_edges(Witness(n=3, N=1, perm=(0, 0, 0), starts=(0, 0, 0)))
     with pytest.raises(DomainError):
         materialize_edges(Witness(n=3, N=1, perm=(0, 1, 2), starts=(0, 0, 99)))
+    for n, N, perm, starts in [
+        (3, 4, (0, None, 2), (0, 0, 0)),
+        (3, 4, (0, 1, 2.0), (0, 0, 0)),
+        (3, 4, (0, True, 2), (0, 0, 0)),
+        (3, 4, (0, 1, 2), (0, 0, "4")),
+        (3, 4.0, (0, 1, 2), (0, 0, 0)),
+        (3, True, (0, 1, 2), (0, 0, 0)),
+        (3, 4, None, (0, 0, 0)),
+    ]:
+        with pytest.raises(DomainError):
+            materialize_edges(Witness(n=n, N=N, perm=perm, starts=starts))
 
 
 def test_big_order_uses_big_integer_fallback():
