@@ -60,6 +60,22 @@ def lower_bound_report(n: int) -> LowerBoundReport:
     )
 
 
+def product_digits(n: int) -> int:
+    """Decimal digits of lower_bound_report(n).product, without building it.
+
+    M mod 2^i is (4^ceil(i/2) - 1)/3, so B_i = (2^i + c_i)/3 with c_i = 2
+    for even i and 4 for odd i, and the product's log10 is
+    n(n+1)/2 log10 2 - n log10 3 + sum_i log10(1 + c_i 2^-i).  Terms past
+    i = 64 are below 2^-62 and are left out.
+    """
+    if n < 1:
+        raise DomainError(f"order must be >= 1, got {n}")
+    tail = sum(math.log10(1 + (4 if i & 1 else 2) / 2**i)
+               for i in range(1, min(n, 64) + 1))
+    log10 = n * (n + 1) // 2 * math.log10(2) - n * math.log10(3) + tail
+    return math.floor(log10) + 1
+
+
 def exact_count(n: int) -> int:
     """Exact number of cyclic hyper degrees on n vertices (enumeration-backed,
     so subject to the enumeration cap)."""

@@ -14,7 +14,7 @@ import json
 import sys
 from typing import Any
 
-from .analysis import exact_count, lower_bound_report
+from .analysis import exact_count, lower_bound_report, product_digits
 from .errors import CapacityError, DomainError, ValidationError
 from .oracle import ENUMERATE_CAP, enumerate_chd
 from .ranges import range_of
@@ -37,10 +37,14 @@ def _parse_degrees(text: str) -> DegreeSequence:
         # int() would also take '1_0', '+1' and non-ASCII digits
         if not (tok.isascii() and tok.isdigit()):
             raise ValidationError(f"invalid degree token {tok!r}")
+        # only the int<->str digit limit is left to refuse an ASCII digit run
         try:
             entries.append(int(tok))
         except ValueError:
-            raise ValidationError(f"invalid degree token {tok!r}") from None
+            raise CapacityError(
+                f"degree token of {len(tok)} digits exceeds the "
+                f"{sys.get_int_max_str_digits()}-digit limit for integer "
+                "conversion") from None
     return DegreeSequence(tuple(entries))
 
 
@@ -140,6 +144,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    # the product is the largest number printed, and it is at least the bound
+    limit = sys.get_int_max_str_digits()
+    digits = product_digits(args.n)
+    if limit and digits > limit:
+        raise CapacityError(
+            f"order {args.n} prints a {digits}-digit product, above the "
+            f"{limit}-digit limit for integer conversion")
     report = lower_bound_report(args.n)
     print(f"n: {report.n}")
     print(f"M: {report.M}")

@@ -62,8 +62,12 @@ def range_of(i: int, N: int, n: int) -> SumRange:
         raise DomainError(f"table order must be >= 1, got {n}")
     if not 1 <= i <= n:
         raise DomainError(f"column index {i} outside [1, {n}]")
-    if not 1 <= N <= (1 << n):
-        raise DomainError(f"window length {N} outside [1, {1 << n}]")
+    # bit lengths, not 1 << n: n and i may be far too large to shift by
+    if N < 1 or (N - 1).bit_length() > n:
+        raise DomainError(f"window length {N} outside [1, 2^{n}]")
+    if (N - 1).bit_length() < i:
+        # N <= 2^(i-1): the window fits in one half period, every sum in [0, N]
+        return SumRange(0, N)
     lo, hi = _bounds(i, N)
     return SumRange(lo, hi)
 

@@ -9,10 +9,16 @@ column i has a one at position (k + s_i) mod 2^n.  Rows of a shifted bit
 table are pairwise distinct, so the N edges form a simple hypergraph whose
 degree sequence is exactly w.
 
-verify_witness rechecks all of that from scratch (window sums by prefix
-counts, and for materializable N also edge distinctness and per-vertex
-degrees, from each column read as runs); it shares no code with
-solve_start's closed form or with materialize_edges.
+materialize_edges packs the rows into uint64 words, one bit per vertex.
+Column i is made of runs of 2^(i-1) rows, so a column whose runs are at
+least N rows long flips at most once in the window and is written as one
+slice of ones; only the columns with shorter runs are computed row by row.
+
+verify_witness rechecks all of that from scratch: window sums by prefix
+counts, and for materializable N also per-vertex degrees and edge
+distinctness.  It rebuilds every column from its runs, packs each row into
+uint64 keys, sorts them and requires neighbouring keys to differ.  It
+shares no code with solve_start's closed form or with materialize_edges.
 """
 
 from __future__ import annotations
@@ -105,20 +111,33 @@ def materialize_edges(wit: Witness, cap: int = DEFAULT_EDGE_CAP) -> list[int]:
     import numpy as np
 
     # Vertex v fills bit v % 64 of word array v // 64.  Column b's bit at
-    # row k is bit b of k + t, t = s mod 2^(b+1).  Rows stay below 2^L, so
-    # for b > L it is read at bit c = L instead: t's top bit moves to bit L
-    # and its low part keeps its distance past 2^b - 2^L, clipped at 0, so
-    # every sum fits in 64 bits.
-    L = N.bit_length()
+    # row k is bit b of k + t, t = s mod 2^(b+1): runs of 2^b rows that
+    # flip at row 2^b - t mod 2^b and every 2^b rows after.  When 2^b >= N
+    # the column flips at most once in rows [0, N), so it is one slice-OR
+    # of a constant: rows before the flip are ones iff t >= 2^b, rows after
+    # it iff not.  The other columns have 2^b < N, so k + t < 3N fits in 64
+    # bits; each takes four in-place passes through one scratch array.
     k = np.arange(N, dtype=np.uint64)
+    scratch = np.empty(N, dtype=np.uint64)
     words = np.zeros(((n + 63) // 64, N), dtype=np.uint64)
     for b, s in enumerate(starts):
-        c = min(b, L)
-        t = s % (2 << b)
-        phase = (t >> b << c) + max(0, (t % (1 << b)) - (1 << b) + (1 << c))
-        bits = (k + np.uint64(phase)) >> np.uint64(c) & np.uint64(1)
+        run = 1 << b
+        t = s % (run << 1)
         v = perm[b]
-        words[v >> 6] |= bits << np.uint64(v & 63)
+        row = words[v >> 6]
+        if run >= N:
+            flip = run - t % run
+            ones = row[:flip] if t >= run else row[flip:]
+            ones |= np.uint64(1 << (v & 63))
+            continue
+        np.add(k, np.uint64(t), out=scratch)
+        np.bitwise_and(scratch, np.uint64(run), out=scratch)
+        shift = (v & 63) - b
+        if shift >= 0:
+            np.left_shift(scratch, np.uint64(shift), out=scratch)
+        else:
+            np.right_shift(scratch, np.uint64(-shift), out=scratch)
+        np.bitwise_or(row, scratch, out=row)
     edges = words[0].tolist()
     for j in range(1, len(words)):
         edges = [e | x << (64 * j) for e, x in zip(edges, words[j].tolist())]
@@ -170,7 +189,8 @@ def verify_witness(
 
     # Recount apart from materialize_edges: read each column's N rows as
     # alternating runs of 2^b zeros and ones, one bit per vertex in bytes.
-    planes = np.zeros(((n + 7) // 8, N), dtype=np.uint8)
+    words = (n + 63) // 64
+    planes = np.zeros((8 * words, N), dtype=np.uint8)
     for b in range(n):
         run = 1 << b
         t = starts[b] % (run << 1)
@@ -182,6 +202,20 @@ def verify_witness(
         column = np.repeat(values, lengths)[:N]
         if np.count_nonzero(column) != w.entries[perm[b]]:
             return False
-        planes[perm[b] >> 3] |= column << np.uint8(perm[b] & 7)
-    rows = np.ascontiguousarray(planes.T).view(np.dtype((np.void, len(planes))))
-    return np.unique(rows).size == N
+        np.left_shift(column, np.uint8(perm[b] & 7), out=column)
+        planes[perm[b] >> 3] |= column
+    # Transposing eight planes at a time packs each row into uint64 keys,
+    # one byte per plane.  The rows are distinct iff, once sorted, no row's
+    # keys equal its neighbour's.
+    keys = planes.reshape(words, 8, N).transpose(0, 2, 1).copy()
+    keys = keys.view(np.uint64).reshape(words, N)
+    del planes, column
+    if words == 1:
+        keys[0].sort()
+        return bool((keys[0, 1:] != keys[0, :-1]).all())
+    order = np.lexsort(keys)
+    same = np.ones(N - 1, dtype=bool)
+    for word in keys:
+        word = word[order]
+        same &= word[1:] == word[:-1]
+    return not same.any()

@@ -13,6 +13,7 @@ from cyclichd import (
     realizable_set,
     special_window_length,
 )
+from cyclichd.analysis import product_digits
 
 
 def test_lower_bound_values():
@@ -78,3 +79,10 @@ def test_exact_count_sits_between_bound_and_realizable_count():
         c = exact_count(n)
         assert c >= lower_bound(n)
         assert c <= len(realizable_set(n))
+
+
+def test_product_digits_matches_the_built_product():
+    for n in range(2, 320):
+        product = lower_bound_report(n).product
+        digits = product_digits(n)
+        assert 10 ** (digits - 1) <= product < 10 ** digits, n

@@ -187,6 +187,35 @@ def test_count_exact_capacity(capsys):
     assert code == 3
 
 
+@pytest.fixture
+def default_digit_limit():
+    # CPython's default int<->str limit, whatever the environment sets
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(previous)
+
+
+def test_count_refuses_products_past_the_digit_limit(capsys, default_digit_limit):
+    # order 170 prints a 4296-digit product, 171 would print 4347 digits
+    code, out, _ = run(["count", "--n", "170"], capsys)
+    assert code == 0
+    for order in ["171", "200", "1000000"]:
+        code, out, err = run(["count", "--n", order], capsys)
+        assert code == 3
+        assert out == ""
+        assert "4300-digit limit" in err
+        assert "Traceback" not in err
+
+
+def test_degree_token_past_the_digit_limit_is_a_capacity_error(
+        capsys, default_digit_limit):
+    code, _, err = run(["recognize", "--degrees", "1," + "1" * 4301], capsys)
+    assert code == 3
+    assert "4301 digits" in err
+    assert "4300-digit limit" in err
+
+
 def test_verify_command_exhaustive_order(capsys):
     code, out, _ = run(["verify", "--n", "2", "--samples", "10"], capsys)
     assert code == 0

@@ -146,3 +146,13 @@ def test_closed_form_handles_big_integers():
     assert r.hi == 1 << 199
     assert range_size(n, N) == r.size
     assert r.hi == N - r.lo
+
+
+def test_range_of_huge_order_needs_no_power_of_two():
+    # the bound 2^n is checked by bit length, never built
+    r = range_of(1, 5, 10**12)
+    assert (r.lo, r.hi) == (2, 3)
+    r = range_of(10**12, 5, 10**12)
+    assert (r.lo, r.hi) == (0, 5)
+    with pytest.raises(DomainError, match=r"2\^3"):
+        range_of(1, 9, 3)

@@ -161,6 +161,57 @@ def test_edges_match_shifted_rows():
             assert mask == edges[k]
 
 
+def arbitrary_witness(rng, n, N):
+    """Witness with a random perm and starts drawn from all of [0, 2^n),
+    and the degree sequence those starts give, counted by BitColumn."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    starts = tuple(rng.randrange(1 << n) for _ in range(n))
+    w = [0] * n
+    for b in range(n):
+        w[perm[b]] = BitColumn(b + 1, n).contiguous_sum(starts[b], N)
+    return DegreeSequence(tuple(w)), Witness(n, N, tuple(perm), starts)
+
+
+def window_lengths_around_powers(rng, n):
+    # N next to 2^b is where a column's runs start or stop covering the
+    # window; one random N per order besides
+    lengths = {rng.randint(1, min(1 << n, 3000))}
+    for b in {1, 2, 5, 9, n - 1, n}:
+        for N in ((1 << b) - 1, 1 << b, (1 << b) + 1):
+            if 1 <= N <= min(1 << n, 1025):
+                lengths.add(N)
+    return sorted(lengths)
+
+
+def test_every_edge_matches_shifted_rows_for_arbitrary_starts():
+    # canonical starts keep t = s mod 2^(b+1) at most 2^b; arbitrary ones also
+    # reach columns whose window starts inside a run of ones
+    rng = random.Random(29)
+    for n in (5, 12, 63, 64, 65, 130):
+        for N in window_lengths_around_powers(rng, n):
+            _, wit = arbitrary_witness(rng, n, N)
+            sv = ShiftVector(n, wit.starts)
+            expected = []
+            for k in range(N):
+                bits = sv.row(k)
+                expected.append(sum(bits[b] << wit.perm[b] for b in range(n)))
+            assert materialize_edges(wit) == expected, (n, N)
+
+
+def test_verify_accepts_arbitrary_witnesses_and_rejects_bumped_degrees():
+    # n <= 64 packs each row into one key word, n > 64 into several
+    rng = random.Random(31)
+    for n in (5, 12, 63, 64, 65, 130):
+        for N in window_lengths_around_powers(rng, n):
+            w, wit = arbitrary_witness(rng, n, N)
+            assert verify_witness(w, wit), (n, N)
+            entries = list(w.entries)
+            v = rng.randrange(n)
+            entries[v] += 1
+            assert not verify_witness(DegreeSequence(tuple(entries)), wit)
+
+
 def test_edge_distinctness_and_degree_counts_explicitly():
     rng = random.Random(8)
     orders = [rng.randint(1, 10) for _ in range(60)] + [63, 64, 65, 128] * 2
