@@ -27,20 +27,16 @@ from .oracle import (
     BRUTEFORCE_CAP,
     ENUMERATE_CAP,
     REALIZABLE_CAP,
+    SCAN_CAP,
+    attained_set,
     chd_bruteforce,
+    column_bits,
     enumerate_chd,
     is_realizable,
     realizable_set,
-)
-from .ranges import (
-    SCAN_CAP,
-    SumRange,
-    attained_set,
-    column_bits,
-    range_of,
-    range_size,
     window_sums,
 )
+from .ranges import SumRange, range_of, range_size
 from .recognizer import (
     Assignment,
     DegreeSequence,

@@ -2,15 +2,17 @@
 
 Subcommands: recognize, witness, ranges, enumerate, count, verify.  Exit
 codes: 0 affirmative, 1 negative decision, 2 usage or validation error,
-3 capacity exceeded.  Degrees are passed as comma-separated decimal
-strings and emitted as strings in JSON documents, since entries can exceed
-any fixed-width integer.
+3 capacity exceeded, 141 (128 + SIGPIPE) stdout closed before the output
+was written.  Degrees are passed as comma-separated decimal strings and
+emitted as strings in JSON documents, since entries can exceed any
+fixed-width integer.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any
 
@@ -26,6 +28,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
+EXIT_PIPE = 141
 
 
 def _parse_degrees(text: str) -> DegreeSequence:
@@ -172,7 +175,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     all_ok = True
     for r in results:
         status = "PASS" if r.ok else "FAIL"
-        print(f"{r.name}: {status} ({r.checked} checked, {r.failures} failures)")
+        yes = "" if r.accepted is None else f", {r.accepted} yes"
+        print(f"{r.name}: {status} ({r.checked} checked, "
+              f"{r.failures} failures{yes})")
         for note in r.notes:
             print(f"  {note}")
         all_ok = all_ok and r.ok
@@ -242,7 +247,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_YES
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that left early shows only once buffered output is flushed
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # send the interpreter's final flush of what is left to os.devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (ValidationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,22 +9,15 @@ starts.  The attainable sums therefore form the closed integer interval
     [ q*p/2 + max(r - p/2, 0),  q*p/2 + min(r, p/2) ]
 
 of size 1 + min(r, p - r), every value of which is attained.  range_of
-and range_size evaluate this in O(1) big-integer operations; attained_set
-recomputes the set by direct scan and exists to test them.
+and range_size evaluate this in O(1) big-integer operations; the oracle
+module's attained_set recomputes the set by direct scan to test them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .errors import CapacityError, DomainError
-
-if TYPE_CHECKING:
-    import numpy as np
-
-# attained_set materializes two copies of a 2^n column; test/oracle use only
-SCAN_CAP = 20
+from .errors import DomainError
 
 
 def _bounds(i: int, N: int) -> tuple[int, int]:
@@ -84,46 +77,3 @@ def range_size(i: int, N: int) -> int:
         raise DomainError(f"window length must be >= 1, got {N}")
     rest = N & ((1 << i) - 1)
     return 1 + min(rest, (1 << i) - rest)
-
-
-def column_bits(i: int, n: int, max_order: int = SCAN_CAP) -> np.ndarray:
-    """Column i of the order-n table, materialized (uint8, length 2^n)."""
-    import numpy as np
-
-    if n < 1:
-        raise DomainError(f"table order must be >= 1, got {n}")
-    if not 1 <= i <= n:
-        raise DomainError(f"column index {i} outside [1, {n}]")
-    if n > max_order:
-        raise CapacityError(f"order {n} exceeds scan cap {max_order}")
-    return ((np.arange(1 << n, dtype=np.int64) >> (i - 1)) & 1).astype(np.uint8)
-
-
-def window_sums(i: int, N: int, n: int, max_order: int = SCAN_CAP) -> np.ndarray:
-    """All 2^n cyclic window sums of length N of column i, by direct scan.
-
-    Prefix sums over the doubled column, so sums[s] is the window starting
-    at 0-based s.  Independent of the closed form; 0 <= N <= 2^n.
-    """
-    import numpy as np
-
-    bits = column_bits(i, n, max_order)
-    if not 0 <= N <= bits.size:
-        raise DomainError(f"window length {N} outside [0, {bits.size}]")
-    doubled = np.concatenate([bits, bits]).astype(np.int64)
-    prefix = np.concatenate([[0], np.cumsum(doubled)])
-    starts = np.arange(bits.size)
-    return prefix[starts + N] - prefix[starts]
-
-
-def attained_set(i: int, N: int, n: int, max_order: int = SCAN_CAP) -> set[int]:
-    """Exact set of attainable window sums, by direct scan.
-
-    This is the ground truth the closed-form interval is tested against;
-    the recognizer never calls it.
-    """
-    import numpy as np
-
-    if not 1 <= N <= (1 << n):
-        raise DomainError(f"window length {N} outside [1, {1 << n}]")
-    return {int(v) for v in np.unique(window_sums(i, N, n, max_order))}

@@ -24,11 +24,15 @@ shares no code with solve_start's closed form or with materialize_edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .bittable import BitColumn
 from .errors import CapacityError, DomainError
 from .ranges import _bounds
 from .recognizer import Assignment, DegreeSequence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_EDGE_CAP = 1 << 20
 
@@ -205,16 +209,24 @@ def verify_witness(
         np.left_shift(column, np.uint8(perm[b] & 7), out=column)
         planes[perm[b] >> 3] |= column
     # Transposing eight planes at a time packs each row into uint64 keys,
-    # one byte per plane.  The rows are distinct iff, once sorted, no row's
-    # keys equal its neighbour's.
+    # one byte per plane.
     keys = planes.reshape(words, 8, N).transpose(0, 2, 1).copy()
     keys = keys.view(np.uint64).reshape(words, N)
     del planes, column
-    if words == 1:
+    return _keys_distinct(keys)
+
+
+def _keys_distinct(keys: np.ndarray) -> bool:
+    """Whether the columns of a (words, N) uint64 key array are pairwise
+    distinct: sorted, no column may equal its neighbour.  One word is
+    sorted in place."""
+    import numpy as np
+
+    if len(keys) == 1:
         keys[0].sort()
         return bool((keys[0, 1:] != keys[0, :-1]).all())
     order = np.lexsort(keys)
-    same = np.ones(N - 1, dtype=bool)
+    same = np.ones(keys.shape[1] - 1, dtype=bool)
     for word in keys:
         word = word[order]
         same &= word[1:] == word[:-1]

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -232,6 +233,13 @@ def test_verify_command_sampled_order(capsys):
     assert "equivalence: PASS" in out
 
 
+def test_verify_compares_yes_answers(capsys):
+    code, out, _ = run(["verify", "--n", "9", "--samples", "30"], capsys)
+    assert code == 0
+    m = re.search(r"equivalence: PASS \(30 checked, 0 failures, (\d+) yes\)", out)
+    assert m and int(m.group(1)) > 0, out
+
+
 def test_verify_is_deterministic_given_seed(capsys):
     first = run(["verify", "--n", "5", "--samples", "25", "--seed", "7"], capsys)
     second = run(["verify", "--n", "5", "--samples", "25", "--seed", "7"], capsys)
@@ -275,9 +283,27 @@ def imported_packages(*args):
     (["-m", "cyclichd.cli", "witness", "--edges", "--degrees", "2,2,1"], True),
 ], ids=["import", "recognize-no", "witness-edges"])
 def test_import_chain_loads_numpy_only_for_arrays(args, numpy_loaded):
-    # the decision path is standard library only; scipy is reserved for the
-    # oracle's matching cross-check
+    # the decision path is standard library only, and no path loads scipy
     loaded = imported_packages(*args)
     assert "cyclichd" in loaded
     assert ("numpy" in loaded) == numpy_loaded
     assert "scipy" not in loaded
+
+
+@pytest.mark.parametrize("args", [
+    ["count", "--n", "170"],
+    ["recognize", "--degrees", "1,1,1"],
+], ids=["count", "recognize"])
+def test_closed_stdout_exits_quietly(args):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run([sys.executable, "-m", "cyclichd.cli", *args],
+                           stdout=write_end, stderr=subprocess.PIPE, text=True,
+                           env=dict(os.environ, PYTHONPATH=str(SRC)),
+                           timeout=120)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in r.stderr
+    assert "BrokenPipeError" not in r.stderr
+    assert r.returncode == 141

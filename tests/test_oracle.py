@@ -1,7 +1,11 @@
 """Brute-force oracles: frozen small-order values and mutual consistency."""
 
+import os
 import random
-from itertools import product
+import subprocess
+import sys
+from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -11,10 +15,14 @@ from cyclichd import (
     chd_bruteforce,
     enumerate_chd,
     is_realizable,
+    range_of,
     realizable_set,
     recognize,
 )
+from cyclichd.oracle import _has_sdr
 from conftest import planted_sequence
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_bruteforce_examples():
@@ -104,7 +112,7 @@ def test_realizable_count_within_global_bound():
 
 
 def test_bruteforce_matching_path_at_order_ten():
-    # above order 8 the brute force cross-checks two matching engines
+    # the oracle's exhaustive matcher against the recognizer's own matching
     rng = random.Random(5)
     for _ in range(5):
         w = planted_sequence(rng, 10)
@@ -130,3 +138,77 @@ def test_capacity_limits():
         realizable_set(5)
     with pytest.raises(CapacityError):
         realizable_set(0)
+
+
+def sdr_by_permutations(candidates):
+    """Reference: some bijection gives column k a coordinate in candidates[k]."""
+    n = len(candidates)
+    return any(all(p[k] in candidates[k] for k in range(n))
+               for p in permutations(range(n)))
+
+
+def test_matcher_agrees_with_permutation_reference():
+    rng = random.Random(11)
+    outcomes = set()
+    for n in range(1, 8):
+        for _ in range(60 if n < 7 else 25):
+            density = rng.choice([0.2, 0.4, 0.7])
+            candidates = []
+            for _ in range(n):
+                kind = rng.random()
+                if kind < 0.05:
+                    candidates.append([])
+                elif kind < 0.2:
+                    candidates.append(list(range(n)))
+                else:
+                    candidates.append(
+                        [j for j in range(n) if rng.random() < density])
+            expected = sdr_by_permutations(candidates)
+            assert _has_sdr(candidates) == expected, candidates
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_bruteforce_agrees_with_recognizer_at_order_twelve():
+    n, cap = 12, 1 << 11
+    rng = random.Random(12)
+    for _ in range(3):
+        w = planted_sequence(rng, n)
+        assert recognize(w) is not None
+        assert chd_bruteforce(w)
+    for _ in range(3):
+        # near miss: one planted degree just outside its column's interval
+        N = rng.randint(1, 1 << n)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        degrees = [0] * n
+        for b in range(n):
+            r = range_of(b + 1, N, n)
+            degrees[perm[b]] = rng.randint(r.lo, r.hi)
+        b = rng.randrange(n - 1)  # only column n can span all of [0, cap]
+        r = range_of(b + 1, N, n)
+        degrees[perm[b]] = r.hi + 1 if r.hi < cap else r.lo - 1
+        w = DegreeSequence(tuple(degrees))
+        assert chd_bruteforce(w) == (recognize(w) is not None)
+    for _ in range(3):
+        w = DegreeSequence(tuple(rng.randint(0, cap) for _ in range(n)))
+        assert chd_bruteforce(w) == (recognize(w) is not None)
+
+
+def test_oracle_runs_without_scipy():
+    code = """
+import sys
+sys.modules["scipy"] = None
+from cyclichd import DegreeSequence, chd_bruteforce
+from cyclichd.cli import main
+w = DegreeSequence((243, 244, 247, 247, 249, 244, 244, 249, 244, 327))
+assert chd_bruteforce(w)
+assert not chd_bruteforce(
+    DegreeSequence((55, 420, 66, 305, 494, 92, 332, 500, 325, 347)))
+sys.exit(main(["verify", "--n", "9", "--samples", "12"]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=env, timeout=300)
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert "equivalence: PASS" in r.stdout

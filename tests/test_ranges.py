@@ -136,6 +136,9 @@ def test_scan_cap():
         attained_set(1, 1, 21)
     with pytest.raises(CapacityError):
         column_bits(1, 25)
+    # 2^n is never built, so a huge order is refused at once
+    with pytest.raises(CapacityError):
+        attained_set(1, 5, 10**12)
 
 
 def test_closed_form_handles_big_integers():

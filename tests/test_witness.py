@@ -298,3 +298,23 @@ def test_verify_sums_checked_even_above_edge_cap():
     entries = list(w.entries)
     entries[wit.perm[0]] += 1
     assert not verify_witness(DegreeSequence(tuple(entries)), wit, cap=4)
+
+
+def test_duplicate_keys_found_when_not_neighbours():
+    # no witness that passes the window-sum checks has repeated rows, so the
+    # sorted-key comparison is tested on keys with planted duplicates
+    from cyclichd.witness import _keys_distinct
+
+    one = np.array([[5, 3, 9, 5, 1]], dtype=np.uint64)
+    assert not _keys_distinct(one.copy())
+    assert _keys_distinct(np.array([[5, 3, 9, 7, 1]], dtype=np.uint64))
+    # columns 0 and 3 are equal; column 1 shares their first word and column
+    # 4 their last two, so a partial comparison would also miss or misfire
+    three = np.array([[4, 4, 0, 4, 9],
+                      [7, 1, 2, 7, 7],
+                      [2, 2, 5, 2, 2]], dtype=np.uint64)
+    assert not _keys_distinct(three.copy())
+    three[2, 3] = 6
+    assert _keys_distinct(three.copy())
+    assert _keys_distinct(np.array([[1]], dtype=np.uint64))
+    assert _keys_distinct(np.array([[1], [2], [3]], dtype=np.uint64))
