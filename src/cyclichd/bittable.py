@@ -24,10 +24,10 @@ if TYPE_CHECKING:
 
 T = TypeVar("T")
 
-# packed_rows stores 2^n row codes in an int64 array, so n is doubly
-# limited: memory (the configurable cap) and the int64 payload (hard cap).
+# packed_rows stores 2^n row codes in an int64 array, so n is bounded by
+# memory (this configurable cap) and, whatever the cap, by the 62-bit
+# payload of an int64 row code.
 MATERIALIZE_CAP = 24
-_PACK_LIMIT = 62
 
 
 @dataclass(frozen=True)
@@ -142,13 +142,12 @@ def packed_rows(shift: ShiftVector, max_order: int = MATERIALIZE_CAP) -> np.ndar
     column b+1's shifted entry, already in place, so each column costs one
     vectorized add-and-mask.
     """
+    n = shift.n
+    limit = min(max_order, 62)
+    if n > limit:
+        raise CapacityError(f"order {n} exceeds materialization cap {limit}")
     import numpy as np
 
-    n = shift.n
-    if n > max_order:
-        raise CapacityError(f"order {n} exceeds materialization cap {max_order}")
-    if n > _PACK_LIMIT:
-        raise CapacityError(f"order {n} exceeds int64 packing limit {_PACK_LIMIT}")
     mask = (1 << n) - 1
     k = np.arange(1 << n, dtype=np.int64)
     packed = np.zeros(1 << n, dtype=np.int64)

@@ -9,10 +9,13 @@ column i has a one at position (k + s_i) mod 2^n.  Rows of a shifted bit
 table are pairwise distinct, so the N edges form a simple hypergraph whose
 degree sequence is exactly w.
 
-materialize_edges packs the rows into uint64 words, one bit per vertex.
-Column i is made of runs of 2^(i-1) rows, so a column whose runs are at
-least N rows long flips at most once in the window and is written as one
-slice of ones; only the columns with shorter runs are computed row by row.
+materialize_edges reads the rows as a running XOR.  Column i is made of
+runs of 2^(i-1) rows, so edge k is edge k-1 with the vertices of the
+columns whose run ends at row k toggled.  The flips of columns 1..i
+repeat every 2^(i-1) rows, so one list of toggle masks, doubled by list
+repetition once per column, holds them all with at most two writes per
+column; itertools.accumulate folds it into the edges.  No numpy and no
+per-row Python loop are involved.
 
 verify_witness rechecks all of that from scratch: window sums by prefix
 counts, and for materializable N also per-vertex degrees and edge
@@ -24,6 +27,8 @@ shares no code with solve_start's closed form or with materialize_edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import xor
 from typing import TYPE_CHECKING
 
 from .bittable import BitColumn
@@ -112,52 +117,30 @@ def materialize_edges(wit: Witness, cap: int = DEFAULT_EDGE_CAP) -> list[int]:
         raise DomainError("perm is not a bijection or a start is out of range")
     if N > cap:
         raise CapacityError(f"{N} edges exceed the materialization cap {cap}")
-    import numpy as np
-
-    # Vertex v fills bit v % 64 of word array v // 64.  Column b's bit at
-    # row k is bit b of k + t, t = s mod 2^(b+1): runs of 2^b rows that
-    # flip at row 2^b - t mod 2^b and every 2^b rows after.  When 2^b >= N
-    # the column flips at most once in rows [0, N), so it is one slice-OR
-    # of a constant: rows before the flip are ones iff t >= 2^b, rows after
-    # it iff not.  The other columns have 2^b < N, so k + t < 3N fits in 64
-    # bits; each takes four in-place passes through one scratch array.
-    k = np.arange(N, dtype=np.uint64)
-    scratch = np.empty(N, dtype=np.uint64)
-    words = np.zeros(((n + 63) // 64, N), dtype=np.uint64)
-    for b, s in enumerate(starts):
-        run = 1 << b
-        t = s % (run << 1)
-        v = perm[b]
-        row = words[v >> 6]
-        if run >= N:
-            flip = run - t % run
-            ones = row[:flip] if t >= run else row[flip:]
-            ones |= np.uint64(1 << (v & 63))
-            continue
-        np.add(k, np.uint64(t), out=scratch)
-        np.bitwise_and(scratch, np.uint64(run), out=scratch)
-        shift = (v & 63) - b
-        if shift >= 0:
-            np.left_shift(scratch, np.uint64(shift), out=scratch)
-        else:
-            np.right_shift(scratch, np.uint64(-shift), out=scratch)
-        np.bitwise_or(row, scratch, out=row)
-    edges = words[0].tolist()
-    for j in range(1, len(words)):
-        edges = [e | x << (64 * j) for e, x in zip(edges, words[j].tolist())]
-    return edges
+    # Column b flips between rows k-1 and k exactly when k + s is a
+    # multiple of its run 2^b, so edge k is edge k-1 XOR the bits of the
+    # columns that flip at row k.  The flips of columns 0..b repeat every
+    # 2^b rows, so the toggle list is doubled by list repetition once per
+    # column until it covers N rows, and column b writes its flips at rows
+    # -s mod 2^b + j*2^b of it: two while the list is short, at most one
+    # after.  Row 0 holds edge 0 itself (bit b of each s), not its flips.
+    toggles, first = [0], 0
+    for b, (v, s) in enumerate(zip(perm, starts)):
+        bit, run = 1 << v, 1 << b
+        if len(toggles) < N:
+            toggles *= 2
+        for k in range(-s % run, len(toggles), run):
+            toggles[k] |= bit
+        if s & run:
+            first |= bit
+    del toggles[N:]
+    toggles[0] = first
+    return list(accumulate(toggles, xor))
 
 
 def edge_vertices(mask: int) -> list[int]:
     """Sorted 1-based vertex list of an edge bitmask."""
-    out = []
-    v = 1
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return out
+    return [v for v, c in enumerate(reversed(bin(mask)), 1) if c == "1"]
 
 
 def verify_witness(

@@ -229,3 +229,6 @@ def test_materialization_cap():
     assert all_rows_distinct(ShiftVector(10, tuple([5] * 10)), max_order=10)
     with pytest.raises(CapacityError):
         packed_rows(ShiftVector(12, tuple([0] * 12)), max_order=11)
+    # 2^63 int64 row codes are refused whatever the cap, before allocation
+    with pytest.raises(CapacityError):
+        packed_rows(ShiftVector(63, tuple([0] * 63)), max_order=100)

@@ -1,5 +1,7 @@
 """CLI subcommands: exit codes, document structure, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclichd import DegreeSequence, Witness, verify_witness
 from cyclichd.cli import main
@@ -280,10 +284,12 @@ def imported_packages(*args):
 @pytest.mark.parametrize("args, numpy_loaded", [
     (["-c", "import cyclichd, cyclichd.cli"], False),
     (["-m", "cyclichd.cli", "recognize", "--degrees", "4,1,1,1"], False),
-    (["-m", "cyclichd.cli", "witness", "--edges", "--degrees", "2,2,1"], True),
-], ids=["import", "recognize-no", "witness-edges"])
+    (["-m", "cyclichd.cli", "witness", "--edges", "--degrees", "2,2,1"], False),
+    (["-m", "cyclichd.cli", "verify", "--n", "2", "--samples", "1"], True),
+], ids=["import", "recognize-no", "witness-edges", "verify"])
 def test_import_chain_loads_numpy_only_for_arrays(args, numpy_loaded):
-    # the decision path is standard library only, and no path loads scipy
+    # the decision and certificate paths are standard library only, the
+    # oracle's scans load numpy, and no path loads scipy
     loaded = imported_packages(*args)
     assert "cyclichd" in loaded
     assert ("numpy" in loaded) == numpy_loaded
@@ -307,3 +313,63 @@ def test_closed_stdout_exits_quietly(args):
     assert "Traceback" not in r.stderr
     assert "BrokenPipeError" not in r.stderr
     assert r.returncode == 141
+
+
+# Malformed tokens: signs, separators, letters and a non-ASCII digit, short
+# enough that none parses to a large number.
+JUNK = st.text(alphabet="-+_ .xe\u0661", max_size=3)
+
+
+def ints(lo, hi):
+    # mostly well formed, so that most commands get past argument parsing
+    return st.integers(0, 4).flatmap(
+        lambda k: st.integers(lo, hi).map(str) if k else JUNK)
+
+
+DEGREES = st.one_of(
+    st.lists(st.integers(0, 3) | st.integers(0, 1 << 16), max_size=16).map(
+        lambda xs: ",".join(map(str, xs))),
+    st.lists(ints(0, 3), max_size=16).map(",".join),
+)
+# per subcommand: flag -> strategy for its value, None for a switch;
+# enumerate and count --exact stop at order 4 and verify at order 4
+SUBCOMMANDS = {
+    "recognize": {"--degrees": DEGREES, "--json": None},
+    "witness": {"--degrees": DEGREES, "--json": None, "--edges": None,
+                "--max-edges": ints(-2, 1 << 16)},
+    "ranges": {"--i": ints(-2, 18), "--N": ints(-2, 1 << 17),
+               "--n": ints(-2, 16), "--json": None},
+    "enumerate": {"--n": ints(-2, 4)},
+    "count": {"--n": ints(-2, 16)},
+    "count --exact": {"--n": ints(-2, 4)},
+    "verify": {"--n": ints(-2, 4), "--samples": ints(-2, 5),
+               "--seed": ints(-5, 1 << 40)},
+}
+
+
+@st.composite
+def cli_argv(draw):
+    name = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    flags = SUBCOMMANDS[name]
+    argv = name.split()
+    # each flag mostly once, sometimes left out, repeated or without a value
+    for flag in draw(st.permutations(sorted(flags))):
+        for _ in range(draw(st.sampled_from([1, 1, 1, 0, 2]))):
+            argv.append(flag)
+            if flags[flag] is not None and draw(st.integers(0, 9)):
+                argv.append(draw(flags[flag]))
+    if not draw(st.integers(0, 4)):
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(["--bogus", "-x", "--", "--json=1",
+                                          "--degrees", "bogus", ""])))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argv())
+def test_fuzzed_argv_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -199,6 +199,23 @@ def test_every_edge_matches_shifted_rows_for_arbitrary_starts():
             assert materialize_edges(wit) == expected, (n, N)
 
 
+def test_every_edge_matches_row_formula_across_many_flip_periods():
+    # N up to about 10^4 lets columns up to 2^13 flip several times in the
+    # window, and N beside 2^9, 2^10 and 2^12 lands on and off the end of a
+    # repeating block of flips; each edge is rebuilt from bit b of k + s_b
+    rng = random.Random(41)
+    lengths = [511, 512, 513, 1023, 1024, 1025, 4097, rng.randint(5000, 10000)]
+    for n in (14, 48, 96):
+        for N in lengths:
+            _, wit = arbitrary_witness(rng, n, N)
+            cols = list(zip(wit.starts, wit.perm))
+            expected = [
+                sum(((k + s) >> b & 1) << v for b, (s, v) in enumerate(cols))
+                for k in range(N)
+            ]
+            assert materialize_edges(wit) == expected, (n, N)
+
+
 def test_verify_accepts_arbitrary_witnesses_and_rejects_bumped_degrees():
     # n <= 64 packs each row into one key word, n > 64 into several
     rng = random.Random(31)
@@ -223,6 +240,15 @@ def test_edge_distinctness_and_degree_counts_explicitly():
         assert len(set(edges)) == wit.N
         for v in range(n):
             assert sum((e >> v) & 1 for e in edges) == w.entries[v]
+
+
+def test_edge_vertices_matches_bit_by_bit_reference():
+    rng = random.Random(43)
+    for n in range(1, 301):
+        masks = [0, (1 << n) - 1, 1 << (n - 1), rng.getrandbits(n)]
+        for mask in masks:
+            expected = [v + 1 for v in range(n) if mask >> v & 1]
+            assert edge_vertices(mask) == expected, (n, mask)
 
 
 def test_materialize_edges_cap():
@@ -259,8 +285,8 @@ def test_materialize_edges_validation():
 
 
 def test_big_order_uses_big_integer_fallback():
-    # edges above 64 vertices span several machine words, and the edge
-    # masks must come out as exact Python integers
+    # edges above 64 vertices are masks wider than 64 bits, and they must
+    # come out as exact Python integers
     n = 70
     w = DegreeSequence((1,) * n)
     wit = build_witness(w, recognize(w))
